@@ -18,6 +18,10 @@
 #include "net/network.h"
 #include "net/traffic.h"
 
+// GCC 12 reports a -Wrestrict false positive inside libstdc++ for
+// "literal" + std::string (GCC bug 105651), which this file concatenates.
+#pragma GCC diagnostic ignored "-Wrestrict"
+
 using namespace livesec;
 
 namespace {

@@ -3,7 +3,7 @@
 //
 // Every LiveSec number (§V.B throughput, latency, scaling) is produced by
 // this kernel, so its overhead is the noise floor of the whole reproduction.
-// Two workloads:
+// Workloads:
 //
 //   B-K1  events_drain_1m — 1024 concurrent self-rescheduling event chains
 //         (the in-flight packet count of ~1k active flows), ~1M dispatches
@@ -28,6 +28,12 @@
 //         Network::enable_parallel as an end-to-end cross-check: its
 //         simulated goodput must match the serial run bit for bit.
 //
+//   B-K4  events_far_timers — 48 self-rescheduling chains stepping 0..2 ms
+//         beside 1024 timers that re-arm every 10 s in step (all due within
+//         34 ms): a small live population next to a far cluster, like a
+//         campus run's flows beside every host's ARP refresh. Run on the
+//         production kernel and the reference heap, as B-K1.
+//
 // `--json` emits the machine-readable form recorded in BENCH_kernel.json.
 #include <algorithm>
 #include <chrono>
@@ -46,6 +52,10 @@
 #include "sim/parallel.h"
 #include "sim/reference_event_queue.h"
 #include "sim/simulator.h"
+
+// GCC 12 reports a -Wrestrict false positive inside libstdc++ for
+// "literal" + std::string (GCC bug 105651), which this file concatenates.
+#pragma GCC diagnostic ignored "-Wrestrict"
 
 using namespace livesec;
 
@@ -87,18 +97,35 @@ class ReferenceSimulator {
   sim::ReferenceEventQueue queue_;
 };
 
-/// One hop of a chain: advance an xorshift stream, reschedule self 0..999 ns
-/// ahead. The capture (sim*, remaining, rng, acc = 32 bytes) mirrors what the
-/// Link delivery callback captures on the real packet path.
-template <typename Sim>
+/// One hop of a chain: advance an xorshift stream, reschedule self
+/// 0..Spread-1 ns ahead. The capture (sim*, remaining, rng, acc = 32 bytes)
+/// mirrors what the Link delivery callback captures on the real packet path.
+template <std::uint64_t Spread, typename Sim>
 void hop(Sim& sim, std::uint64_t remaining, std::uint64_t rng, std::uint64_t acc) {
   if (remaining == 0) return;
   std::uint64_t r = rng;
   r ^= r << 13;
   r ^= r >> 7;
   r ^= r << 17;
-  sim.schedule(static_cast<SimTime>(r % kDelaySpread),
-               [&sim, remaining, r, acc] { hop(sim, remaining - 1, r, acc + r); });
+  sim.schedule(static_cast<SimTime>(r % Spread),
+               [&sim, remaining, r, acc] { hop<Spread>(sim, remaining - 1, r, acc + r); });
+}
+
+// --- B-K4: small live population beside a far timer cluster ------------------
+
+constexpr std::uint64_t kFarLanes = 48;
+constexpr std::uint64_t kFarHopsPerLane = 21'000;     // ~1.01M dispatches total
+constexpr std::uint64_t kFarDelaySpread = 1ull << 21;  // ~2.1 ms
+constexpr int kFarTimers = 1024;
+constexpr SimTime kFarTimerPeriod = 10 * kSecond;
+constexpr SimTime kFarTimerStagger = 33 * kMicrosecond;  // 1024 timers within 34 ms
+constexpr int kFarTimerRearms = 2;
+
+template <typename Sim>
+void far_timer(Sim& sim, int rearms) {
+  sim.schedule(kFarTimerPeriod, [&sim, rearms] {
+    if (rearms > 0) far_timer(sim, rearms - 1);
+  });
 }
 
 /// Best of `kDrainRepeats` runs: the host is a small shared container, so a
@@ -106,14 +133,13 @@ void hop(Sim& sim, std::uint64_t remaining, std::uint64_t rng, std::uint64_t acc
 /// the least-disturbed measurement.
 constexpr int kDrainRepeats = 5;
 
-template <typename Sim>
-double run_drain(std::uint64_t& dispatched) {
+/// Events per wall second draining what `seed` schedules on a fresh Sim.
+template <typename Sim, typename Seed>
+double run_drain(Seed seed, std::uint64_t& dispatched) {
   double best = 0;
   for (int rep = 0; rep < kDrainRepeats; ++rep) {
     Sim sim;
-    for (std::uint64_t lane = 0; lane < kLanes; ++lane) {
-      hop(sim, kHopsPerLane, 0x9E3779B97F4A7C15ull * (lane + 1), 0);
-    }
+    seed(sim);
     const auto start = Clock::now();
     dispatched = sim.run();
     const double elapsed = seconds_since(start);
@@ -315,11 +341,30 @@ int main(int argc, char** argv) {
   const bool json = benchjson::wants_json(argc, argv);
   if (!json) std::printf("=== B-K: simulation-kernel hot path ===\n");
 
+  const auto drain_lanes = [](auto& sim) {
+    for (std::uint64_t lane = 0; lane < kLanes; ++lane) {
+      hop<kDelaySpread>(sim, kHopsPerLane, 0x9E3779B97F4A7C15ull * (lane + 1), 0);
+    }
+  };
   std::uint64_t dispatched = 0;
-  const double kernel_eps = run_drain<sim::Simulator>(dispatched);
+  const double kernel_eps = run_drain<sim::Simulator>(drain_lanes, dispatched);
   std::uint64_t ref_dispatched = 0;
-  const double ref_eps = run_drain<ReferenceSimulator>(ref_dispatched);
+  const double ref_eps = run_drain<ReferenceSimulator>(drain_lanes, ref_dispatched);
   const double speedup = kernel_eps / ref_eps;
+
+  const auto lanes_beside_far_timers = [](auto& sim) {
+    for (int t = 0; t < kFarTimers; ++t) {
+      sim.schedule(t * kFarTimerStagger, [&sim] { far_timer(sim, kFarTimerRearms); });
+    }
+    for (std::uint64_t lane = 0; lane < kFarLanes; ++lane) {
+      hop<kFarDelaySpread>(sim, kFarHopsPerLane, 0x9E3779B97F4A7C15ull * (lane + 1), 0);
+    }
+  };
+  std::uint64_t far_dispatched = 0;
+  const double far_eps = run_drain<sim::Simulator>(lanes_beside_far_timers, far_dispatched);
+  std::uint64_t far_ref_dispatched = 0;
+  const double far_ref_eps =
+      run_drain<ReferenceSimulator>(lanes_beside_far_timers, far_ref_dispatched);
 
   const FitResult fit = run_fit();
 
@@ -356,6 +401,8 @@ int main(int argc, char** argv) {
     out.metric("events_drain_1m", kernel_eps, "events/s");
     out.metric("events_drain_1m_refheap", ref_eps, "events/s");
     out.metric("events_drain_speedup", speedup, "x");
+    out.metric("events_far_timers", far_eps, "events/s");
+    out.metric("events_far_timers_refheap", far_ref_eps, "events/s");
     out.metric("fit_redirect_packets_per_sec", fit.packets_per_sec_wall, "packets/s");
     out.metric("fit_redirect_events_per_sec", fit.events_per_sec_wall, "events/s");
     out.metric("fit_redirect_goodput", fit.goodput_bps, "bps");
@@ -387,6 +434,10 @@ int main(int argc, char** argv) {
     std::printf("%-34s %12.0f events/s  (%llu dispatched)\n", "drain 1M (reference heap)",
                 ref_eps, static_cast<unsigned long long>(ref_dispatched));
     std::printf("%-34s %11.2fx\n", "calendar vs reference heap", speedup);
+    std::printf("%-34s %12.0f events/s  (%llu dispatched)\n", "far timers (production kernel)",
+                far_eps, static_cast<unsigned long long>(far_dispatched));
+    std::printf("%-34s %12.0f events/s  (%llu dispatched)\n", "far timers (reference heap)",
+                far_ref_eps, static_cast<unsigned long long>(far_ref_dispatched));
     std::printf("%-34s %12.0f packets/s wall\n", "FIT redirect end-to-end", fit.packets_per_sec_wall);
     std::printf("%-34s %12.0f events/s wall\n", "FIT redirect kernel rate", fit.events_per_sec_wall);
     std::printf("%-34s %15s\n", "FIT redirect goodput", format_rate_bps(fit.goodput_bps).c_str());

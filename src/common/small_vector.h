@@ -124,7 +124,9 @@ class SmallVector {
   T* inline_slots() { return reinterpret_cast<T*>(inline_storage_); }
 
   void grow(std::size_t wanted) {
-    const std::size_t new_capacity = std::max(wanted, capacity_ * 2);
+    // Callers only grow past the current size; the size_ + 1 floor states
+    // that for GCC 12, which otherwise flags the move loop with -Warray-bounds.
+    const std::size_t new_capacity = std::max({wanted, capacity_ * 2, size_ + 1});
     T* heap = static_cast<T*>(::operator new(new_capacity * sizeof(T)));
     for (std::size_t i = 0; i < size_; ++i) {
       ::new (static_cast<void*>(heap + i)) T(std::move(data_[i]));

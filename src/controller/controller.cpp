@@ -803,6 +803,7 @@ void Controller::handle_flow_setup(DatapathId dpid, const of::PacketIn& pin) {
   // controller before the entries landed on the switch. Release the parked
   // packet through the already-computed ingress actions.
   if (auto existing = flows_.find(key); existing != flows_.end()) {
+    ++stats_.fastpath.released_packet_ins;
     auto sw = switches_.find(dpid);
     if (sw != switches_.end() && sw->second.channel != nullptr) {
       of::PacketOut out;
@@ -1142,6 +1143,7 @@ void Controller::offload_flow(const pkt::FlowKey& key, FlowRecord& record, const
     if (offloaded_flows_.size() >= config_.offload_table_capacity &&
         !offloaded_flows_.contains(key)) {
       offloaded_flows_.clear();  // bounded memo: full flush, like the decision cache
+      replicate(ha::OffloadMemoFlushedRecord{});
     }
     offloaded_flows_.insert_or_assign(key,
                                       OffloadEntry{current_stamp(), inspected_bytes, sim_->now()});
@@ -1716,6 +1718,8 @@ void Controller::apply_replicated(const ha::RecordBody& body) {
         f->key, OffloadEntry{current_stamp(), f->inspected_bytes, sim_->now()});
   } else if (const auto* f = std::get_if<ha::FlowOnloadedRecord>(&body)) {
     offloaded_flows_.erase(f->key);
+  } else if (std::holds_alternative<ha::OffloadMemoFlushedRecord>(body)) {
+    offloaded_flows_.clear();
   } else if (const auto* v = std::get_if<ha::VerdictLearnedRecord>(&body)) {
     if (verdict_cache_) {
       verdict_cache_->insert(v->digest, static_cast<svc::CachedVerdict>(v->verdict), v->rule_id,

@@ -29,6 +29,7 @@ std::size_t approx_record_bytes(const RecordBody& body) {
     std::size_t operator()(const SwitchDownRecord&) { return 3; }
     std::size_t operator()(const FlowOffloadedRecord&) { return 36; }
     std::size_t operator()(const FlowOnloadedRecord&) { return 30; }
+    std::size_t operator()(const OffloadMemoFlushedRecord&) { return 1; }
     std::size_t operator()(const VerdictLearnedRecord&) { return 48; }
     std::size_t operator()(const VerdictCacheEpochRecord&) { return 4; }
     std::size_t operator()(const EventBatchRecord& r) { return 4 + r.blob.size(); }

@@ -160,6 +160,10 @@ struct FlowOnloadedRecord {
   pkt::FlowKey key;
 };
 
+/// The active's offload memo reached `offload_table_capacity` and was
+/// flushed. Replicated so standbys and snapshots keep the same bounded memo.
+struct OffloadMemoFlushedRecord {};
+
 /// The active learned a firsthand scan verdict into the shared fuzzy-hash
 /// verdict cache (DESIGN.md §11). Replicated so a promoted standby's cache
 /// serves the same verdicts the active's did.
@@ -199,7 +203,8 @@ using RecordBody =
                  SeRemovedRecord, FlowBlockedRecord, FlowUnblockedRecord, DhcpConfigRecord,
                  DhcpLeaseRecord, DhcpReleaseRecord, SwitchUpRecord, SwitchDownRecord,
                  FlowOffloadedRecord, FlowOnloadedRecord, VerdictLearnedRecord,
-                 VerdictCacheEpochRecord, EventBatchRecord, EventSegmentRecord>;
+                 VerdictCacheEpochRecord, EventBatchRecord, EventSegmentRecord,
+                 OffloadMemoFlushedRecord>;
 
 const char* record_name(const RecordBody& body);
 

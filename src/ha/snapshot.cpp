@@ -222,6 +222,8 @@ void SnapshotStore::fold(const RecordBody& body) {
     if (entries_.erase(flow_key(Domain::kOffloadedFlow, onloaded->key)) > 0) {
       ++stats_.entries_erased;
     }
+  } else if (std::holds_alternative<OffloadMemoFlushedRecord>(body)) {
+    erase_domain(Domain::kOffloadedFlow);
   } else if (const auto* verdict = std::get_if<VerdictLearnedRecord>(&body)) {
     entries_[Key{static_cast<std::uint8_t>(Domain::kVerdict), digest_key(verdict->digest)}] =
         body;

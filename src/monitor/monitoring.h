@@ -28,6 +28,9 @@ struct FastPathCounters {
   std::uint64_t decision_cache_invalidations = 0;
   /// Packet-ins absorbed because a setup for the same flow was in flight.
   std::uint64_t suppressed_packet_ins = 0;
+  /// Packet-ins of a flow already installed (its packets raced the entries
+  /// to the switch), released through the flow's ingress actions.
+  std::uint64_t released_packet_ins = 0;
   /// Setups parked waiting for a missing host location or LS uplink.
   std::uint64_t pending_setups_parked = 0;
   /// Parked setups that later completed (host announced / link discovered).

@@ -88,6 +88,7 @@ std::string WebUi::snapshot_json(SimTime events_from, SimTime events_to) const {
       << ",\"decision_cache_invalidations\":" << fp.decision_cache_invalidations
       << ",\"decision_cache_size\":" << controller_->decision_cache_size()
       << ",\"suppressed_packet_ins\":" << fp.suppressed_packet_ins
+      << ",\"released_packet_ins\":" << fp.released_packet_ins
       << ",\"pending_setups\":" << controller_->pending_setup_count()
       << ",\"pending_setups_parked\":" << fp.pending_setups_parked
       << ",\"pending_setups_completed\":" << fp.pending_setups_completed
@@ -213,7 +214,7 @@ std::string WebUi::snapshot_text(SimTime events_from, SimTime events_to) const {
   const auto& stats = controller_->stats();
   const auto& fp = stats.fastpath;
   out << "  packet-ins: " << stats.packet_ins << " (suppressed " << fp.suppressed_packet_ins
-      << ")\n";
+      << ", released " << fp.released_packet_ins << ")\n";
   out << "  flows installed: " << stats.flows_installed << "\n";
   out << "  decision cache: " << fp.decision_cache_hits << " hits / " << fp.decision_cache_misses
       << " misses, " << controller_->decision_cache_size() << " cached, "

@@ -9,6 +9,11 @@
 
 namespace livesec::pkt {
 
+// GCC 12 reports -Wstringop-overflow and -Warray-bounds false positives in
+// std::vector's growth path when a few bytes are appended to a fresh writer.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wstringop-overflow"
+#pragma GCC diagnostic ignored "-Warray-bounds"
 /// Append-only writer producing network-byte-order (big-endian) bytes.
 class BufferWriter {
  public:
@@ -65,6 +70,7 @@ class BufferWriter {
  private:
   std::vector<std::uint8_t> data_;
 };
+#pragma GCC diagnostic pop
 
 // Raw big-endian stores into caller-owned memory. Codecs on per-row hot
 // paths assemble fixed-size field groups in a stack buffer and append them

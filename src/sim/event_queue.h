@@ -1,4 +1,4 @@
-// Deterministic discrete-event queue — two-tier calendar with overflow.
+// Deterministic discrete-event queue — calendar with overflow and far heap.
 #pragma once
 
 #include <algorithm>
@@ -33,24 +33,32 @@ struct Event {
 ///   - near tier: kBuckets unsorted append-only buckets of width 2^shift_ ns
 ///     covering the window [day_, window_end_) of absolute bucket numbers,
 ///     with a 1-bit-per-bucket occupancy bitmap;
-///   - overflow tier: one unsorted vector for events at or past window end.
+///   - overflow: one unsorted vector for events in the window after it;
+///   - far tier: a (time, seq) min-heap of the events past that.
 ///
-/// Push appends to a bucket or the overflow (O(1)). When the run is consumed,
-/// settle() splices the next few non-empty buckets (found via countr_zero on
-/// the bitmap) into a fresh run; at the density-matched bucket width each
-/// bucket holds events of a single timestamp already in seq order, so the
-/// splice needs no comparison sort. Events pushed at or before the cursor's
-/// day (zero-delay self-reschedules) insert into the pending part of the run
-/// by binary search. When the near tier drains, the window is rebuilt around
-/// the overflow with a width recomputed from the density at its head; a
-/// doubled population, an oversized pending run, or a bucket that collected
-/// a large burst likewise force a finer-width rebuild. Dispatch
-/// order is bit-identical to a (time, seq) min-heap — the property test
-/// checks this against ReferenceEventQueue.
+/// Push appends to a bucket, the overflow or the far tier (O(1); far appends
+/// join the heap at the next rebuild). When the run is consumed, settle() splices the next few non-empty
+/// buckets (found via countr_zero on the bitmap) into a fresh run; at the
+/// density-matched bucket width each bucket holds events of a single
+/// timestamp already in seq order, so the splice needs no comparison sort.
+/// Events pushed at or before the cursor's day (zero-delay self-reschedules)
+/// insert into the pending part of the run by binary search. When the near
+/// tier drains, the window is rebuilt around the overflow; only the far
+/// events the new window covers leave the heap, so far-future timers stay put
+/// across windows. A doubled population, an oversized pending run, a run that
+/// has dispatched more than it holds, or a bucket that collected a large
+/// burst likewise force a rebuild. The width is the finer of two estimates:
+/// the mean gap of the kWidthSample earliest pending events, and the mean
+/// simulated time per dispatch since the last measurement (which a cluster
+/// of far timers inside the head sample cannot stretch). Dispatch order is
+/// bit-identical to a (time, seq) min-heap — the property test checks this
+/// against ReferenceEventQueue.
 ///
-/// The run, bucket, and scratch vectors recycle their capacity, so a
-/// steady-state simulation schedules and dispatches events with zero heap
-/// allocations (callbacks permitting, see InlineFunction).
+/// The run, bucket, heap and scratch vectors recycle their capacity, and the
+/// run's dispatched prefix is reclaimed once it outgrows the pending part, so
+/// a steady-state simulation schedules and dispatches events with zero heap
+/// allocations (callbacks permitting, see InlineFunction) in memory
+/// proportional to the pending population.
 class EventQueue {
  public:
   /// Inserts an event at absolute time `time` (>= 0). Returns the sequence
@@ -81,6 +89,11 @@ class EventQueue {
       rebuild();
       burst_retry_ok_ = shift_ < old_shift;
       b = bucket_of(time);
+    } else if (b <= day_ && pos_ >= kBurstThreshold && pos_ >= cur_.size() - pos_) {
+      // The run has dispatched more than it holds since it was spliced while
+      // pushes keep landing in it: its day is too wide for the dispatch rate.
+      reclaim_run();
+      b = bucket_of(time);
     }
     Event* slot;
     if (b <= day_) {
@@ -93,13 +106,13 @@ class EventQueue {
       occupied_[(b & kMask) >> 6] |= 1ull << (b & 63);
       ++near_count_;
       slot = &bucket.emplace_back();
-      slot->time = time;
-      slot->seq = seq;
-    } else {
+    } else if (b < window_end_ + kBuckets) {
       slot = &overflow_.emplace_back();
-      slot->time = time;
-      slot->seq = seq;
+    } else {
+      slot = &far_.emplace_back();
     }
+    slot->time = time;
+    slot->seq = seq;
     if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
       slot->action = std::forward<F>(action);
     } else {
@@ -112,6 +125,10 @@ class EventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+
+  /// Events' worth of storage the sorted run retains (its capacity). Stays
+  /// proportional to the pending population however long the run lives.
+  std::size_t run_capacity() const { return cur_.capacity(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
   SimTime next_time() const {
@@ -147,6 +164,8 @@ class EventQueue {
   /// bucket width at rebuild (their mean gap approximates the density the
   /// window actually serves).
   static constexpr std::size_t kWidthSample = 64;
+  /// dispatch_shift() before kWidthSample dispatches were measured.
+  static constexpr std::uint32_t kNoShift = 64;
 
   using Bucket = std::vector<Event>;
 
@@ -156,14 +175,19 @@ class EventQueue {
       return a.seq < b.seq;
     }
   };
+  /// Heap order for the far tier: std heap algorithms keep the greatest
+  /// element on top, so "greater" puts the earliest event there.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const { return Earlier{}(b, a); }
+  };
 
   std::uint64_t bucket_of(SimTime time) const {
     return static_cast<std::uint64_t>(time) >> shift_;
   }
 
-  /// Opens a slot for (time, seq) at its sorted position in the pending part
-  /// of the run, [pos_, cur_.size()). The dispatched prefix [0, pos_) is
-  /// never touched, so the cursor stays valid.
+  /// Opens an empty slot at the sorted position of (time, seq) in the
+  /// pending part of the run, [pos_, cur_.size()). The dispatched prefix
+  /// [0, pos_) is never touched, so the cursor stays valid.
   Event* insert_into_run(SimTime time, std::uint64_t seq) {
     const auto it = std::upper_bound(
         cur_.begin() + static_cast<std::ptrdiff_t>(pos_), cur_.end(),
@@ -172,10 +196,7 @@ class EventQueue {
           if (v.first != e.time) return v.first < e.time;
           return v.second < e.seq;
         });
-    Event* slot = &*cur_.insert(it, Event{});
-    slot->time = time;
-    slot->seq = seq;
-    return slot;
+    return &*cur_.insert(it, Event{});
   }
 
   /// Refills the run with the next batch of due events. Precondition:
@@ -187,8 +208,8 @@ class EventQueue {
     for (;;) {
       if (near_count_ == 0) {
         if (!cur_.empty()) return;
-        // Near tier drained: rebuild the window around the overflow. This
-        // is where the bucket width adapts to the workload's event density.
+        // Near tier drained: rebuild the window past it. This is where
+        // the bucket width adapts to the workload's event density.
         rebuild();
         burst_retry_ok_ = true;
         if (!cur_.empty()) return;
@@ -246,19 +267,43 @@ class EventQueue {
     }
   }
 
-  /// Routes an event to the run, a near bucket, or overflow (rebuild only).
+  /// Routes an event to the run, a near bucket, the overflow, or the far
+  /// heap (rebuild only).
   void place(Event&& e);
 
-  /// Collects every pending event and redistributes it into a fresh window
-  /// whose bucket width is derived from the mean gap of the kWidthSample
-  /// earliest events (head density, not global span — a lone far-future
-  /// timer must not widen the buckets).
+  /// Folds the events appended to far_ since the last rebuild into its
+  /// heap: one push_heap each, or one make_heap when they outnumber the heap
+  /// (a bulk of timers scheduled at once), so an append costs amortized O(1).
+  void merge_far();
+
+  /// Moves the earliest far-heap event into scratch_. Precondition: far_ is
+  /// all heap (merge_far()).
+  void take_far();
+
+  /// Collects the run, near tier and overflow, plus the far-heap events the
+  /// new window covers, and redistributes them into a fresh window. The width is
+  /// the finer of the dispatch-density estimate and the mean gap of the
+  /// kWidthSample earliest pending events (head density, not global span —
+  /// a lone far-future timer must not widen the buckets).
   void rebuild();
+
+  /// Called when the run's dispatched prefix outgrew its pending part:
+  /// rebuilds if the dispatch density now implies a finer width, otherwise
+  /// drops the prefix so the run's storage stays proportional to what is
+  /// pending.
+  void reclaim_run();
+
+  /// Bucket shift matching the mean simulated time per dispatch since the
+  /// last measurement, with `head` the current head time; kNoShift until
+  /// kWidthSample dispatches have been made since then.
+  std::uint32_t dispatch_shift(SimTime head) const;
 
   std::vector<Event> cur_;                  // sorted run; [0, pos_) dispatched
   std::size_t pos_ = 0;                     // cursor into cur_
   std::vector<Bucket> buckets_{kBuckets};   // near tier, unsorted
-  std::vector<Event> overflow_;             // far tier, unsorted
+  std::vector<Event> overflow_;             // next window, unsorted
+  std::vector<Event> far_;                  // beyond: heap by Later, then appends
+  std::size_t far_heap_ = 0;                // far_[0, far_heap_) is the heap
   std::vector<Event> scratch_;              // rebuild staging, capacity reused
   std::vector<SimTime> time_scratch_;       // rebuild width sample, capacity reused
   /// One bit per near bucket; set iff the bucket is non-empty. Lets
@@ -271,7 +316,12 @@ class EventQueue {
   std::uint64_t window_end_ = kBuckets;     // absolute bucket past the window
   std::size_t near_count_ = 0;              // events across buckets_
   std::size_t size_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 0;              // pushes so far; pops = next_seq_ - size_
+  /// Dispatch-density measurement: head time and pop count when it was last
+  /// taken, and the shift it gave (kNoShift until the first measurement).
+  SimTime sample_time_ = 0;
+  std::uint64_t sample_pops_ = 0;
+  std::uint32_t dispatch_shift_ = kNoShift;
   /// Population size that forces a width re-derivation (2x the size at the
   /// last rebuild): keeps a width picked during ramp-up from sticking.
   std::size_t resize_at_ = 2 * kWidthSample;

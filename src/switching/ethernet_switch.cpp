@@ -1,5 +1,6 @@
 #include "switching/ethernet_switch.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "packet/flow_key.h"
@@ -22,9 +23,9 @@ bool EthernetSwitch::port_blocked(PortId port) const {
 
 PortId EthernetSwitch::create_bond(const std::vector<PortId>& members) {
   assert(!members.empty());
-  for (PortId member : members) {
-    assert(!member_to_bond_.contains(member) && "port already bonded");
-  }
+  assert(std::none_of(members.begin(), members.end(),
+                      [this](PortId member) { return member_to_bond_.contains(member); }) &&
+         "port already bonded");
   const PortId bond = kBondBase + static_cast<PortId>(bonds_.size());
   bonds_.push_back(members);
   for (PortId member : members) member_to_bond_[member] = bond;

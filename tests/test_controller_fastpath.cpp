@@ -295,5 +295,30 @@ TEST(ControllerFastPath, DuplicatePacketInsCollapseIntoOneSetup) {
   EXPECT_EQ(net.sw1.packet_outs, 2u);  // one release per suppressed waiter
 }
 
+TEST(ControllerFastPath, BackToBackTrainReleasesDuplicatesThroughInstalledFlow) {
+  FastPathHarness net;
+  net.bring_up();
+  net.start_flow(4000);
+  const std::size_t adds_per_setup = net.sw1.adds() + net.sw2.adds();
+  net.sw1.flow_mods.clear();
+  net.sw2.flow_mods.clear();
+  net.sw1.packet_outs = 0;
+
+  // A train sent back to back: every packet misses the table and reaches
+  // the controller before the first one's entries land on the switch.
+  for (int i = 0; i < 4; ++i) {
+    of::PacketIn pin;
+    pin.packet = net.flow_packet(5000);
+    net.ch1.send_to_controller(std::move(pin));
+  }
+  net.settle();
+
+  // One setup; the three later packet-ins are released, and counted.
+  EXPECT_EQ(net.sw1.adds() + net.sw2.adds(), adds_per_setup);
+  EXPECT_EQ(net.counters().released_packet_ins, 3u);
+  EXPECT_EQ(net.counters().suppressed_packet_ins, 0u);
+  EXPECT_EQ(net.sw1.packet_outs, 3u);
+}
+
 }  // namespace
 }  // namespace livesec

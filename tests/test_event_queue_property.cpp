@@ -7,10 +7,11 @@
 // binary heap. This test drives both queues through the same randomized
 // scripts of push / pop / run_until operations — including same-time ties,
 // zero-delay self-rescheduling callbacks, far-future times that land in the
-// overflow tier, and same-time bursts that trigger a finer-width rebuild —
-// and requires the dispatch logs to match element for element.
+// overflow and far tiers, and same-time bursts that trigger a finer-width
+// rebuild — and requires the dispatch logs to match element for element.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -215,6 +216,94 @@ TEST(EventQueuePropertyTest, PastPushesDuringDrainMatchReferenceHeap) {
     script.push_back(Op{Op::kPush, -900, static_cast<std::uint32_t>(200 + i), 1, 0});
   }
   expect_identical(script, "past pushes");
+}
+
+/// Self-rescheduling chains beside re-arming timers, the shape of a campus
+/// run: a few dozen live events at microsecond steps next to every host's
+/// ARP refresh timer, all due within one short cluster far ahead.
+template <typename Queue>
+class ChainDriver {
+ public:
+  /// One chain hop: mostly 0..2047 ns ahead, one hop in 512 jumps up to 8 s,
+  /// so the chains cross the timer cluster.
+  void hop(std::uint32_t id, std::uint32_t remaining, std::uint64_t rng) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    const SimTime delay = (rng & 511) == 0 ? static_cast<SimTime>(rng % (8 * kSecond))
+                                           : static_cast<SimTime>(rng % 2048);
+    queue_.push(now_ + delay, [this, id, remaining, rng] {
+      log_.back().id = id;
+      if (remaining > 0) hop(id, remaining - 1, rng);
+    });
+  }
+
+  void timer(std::uint32_t id, SimTime at, int rearms) {
+    queue_.push(at, [this, id, rearms] {
+      log_.back().id = id;
+      if (rearms > 0) timer(id, now_ + 30 * kSecond, rearms - 1);
+    });
+  }
+
+  const std::vector<Dispatch>& drain() {
+    while (!queue_.empty()) {
+      auto e = queue_.pop();
+      now_ = e.time;
+      log_.push_back(Dispatch{e.time, e.seq, 0});
+      e.action();
+    }
+    return log_;
+  }
+
+ private:
+  Queue queue_;
+  SimTime now_ = 0;
+  std::vector<Dispatch> log_;
+};
+
+template <typename Queue>
+std::vector<Dispatch> chains_beside_far_timers() {
+  ChainDriver<Queue> driver;
+  for (std::uint32_t t = 0; t < 1024; ++t) {
+    // 30 s out, clustered within 102 ms (100 us apart), re-armed twice.
+    driver.timer(100'000 + t, 30 * kSecond + static_cast<SimTime>(t) * 100 * kMicrosecond, 2);
+  }
+  for (std::uint32_t c = 0; c < 50; ++c) {
+    driver.hop(c, 4000, 0x9E3779B97F4A7C15ull * (c + 1));
+  }
+  return driver.drain();
+}
+
+TEST(EventQueuePropertyTest, ChainsBesideFarTimerClusterMatchReferenceHeap) {
+  const std::vector<Dispatch> calendar = chains_beside_far_timers<EventQueue>();
+  const std::vector<Dispatch> reference = chains_beside_far_timers<ReferenceEventQueue>();
+  ASSERT_EQ(calendar.size(), 50u * 4001u + 1024u * 3u);
+  ASSERT_EQ(calendar.size(), reference.size());
+  for (std::size_t i = 0; i < calendar.size(); ++i) {
+    ASSERT_TRUE(calendar[i] == reference[i])
+        << "dispatch " << i << " diverged — calendar (t=" << calendar[i].time
+        << ", seq=" << calendar[i].seq << ", id=" << calendar[i].id << ") vs reference (t="
+        << reference[i].time << ", seq=" << reference[i].seq << ", id=" << reference[i].id << ")";
+  }
+}
+
+TEST(EventQueuePropertyTest, RunStorageStaysProportionalToPendingEvents) {
+  // 50 zero-delay chains beside one timer 1 s out: the head sample sets a
+  // coarse width, and the ties keep every push inside the run whatever the
+  // width. Over 1M dispatches the run must not keep its dispatched prefix.
+  constexpr std::size_t kChains = 50;
+  constexpr std::uint64_t kDispatches = 1'000'000;
+  EventQueue queue;
+  queue.push(1 * kSecond, [] {});
+  for (std::size_t c = 0; c < kChains; ++c) queue.push(0, [] {});
+  std::size_t max_capacity = 0;
+  for (std::uint64_t n = 0; n < kDispatches; ++n) {
+    const Event e = queue.pop();
+    if (e.time == 0) queue.push(0, [] {});
+    max_capacity = std::max(max_capacity, queue.run_capacity());
+  }
+  EXPECT_EQ(queue.size(), kChains + 1);
+  EXPECT_LE(max_capacity, 16 * (kChains + 1));
 }
 
 }  // namespace

@@ -76,6 +76,7 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
       ha::VerdictCacheEpochRecord{12},
       ha::EventBatchRecord{{0xDE, 0xAD, 0xBE, 0xEF}},
       ha::EventSegmentRecord{{0x4C, 0x53, 0x45, 0x47, 0x00}},
+      ha::OffloadMemoFlushedRecord{},
   };
   ASSERT_EQ(bodies.size(), std::variant_size_v<ha::RecordBody>);
 

@@ -75,6 +75,7 @@ std::vector<ha::RecordBody> every_record_type() {
       ha::VerdictCacheEpochRecord{12},
       ha::EventBatchRecord{{0xDE, 0xAD, 0xBE, 0xEF}},
       ha::EventSegmentRecord{{0x4C, 0x53, 0x45, 0x47, 0x00}},
+      ha::OffloadMemoFlushedRecord{},
   };
 }
 

@@ -11,6 +11,10 @@
 #include "tiny_json.h"
 #include "monitor/monitoring.h"
 
+// GCC 12 reports a -Wrestrict false positive inside libstdc++ for
+// "literal" + std::string (GCC bug 105651), which this file concatenates.
+#pragma GCC diagnostic ignored "-Wrestrict"
+
 namespace livesec::mon {
 namespace {
 

@@ -4,6 +4,11 @@
 // interaction with SE offline, host moves, policy mutation and HA failover.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <variant>
+#include <vector>
+
+#include "ha/replication.h"
 #include "monitor/webui.h"
 #include "net/network.h"
 #include "net/traffic.h"
@@ -436,6 +441,49 @@ TEST(Offload, ReplicatesToStandbyAndNeverReplaysAfterFailover) {
   EXPECT_GE(active.stats().offload_invalidations, 1u);
   EXPECT_EQ(active.flow_se_ids(key).size(), 1u);  // redirected and re-inspected
   EXPECT_GT(ids.processed_packets(), se_packets);
+}
+
+/// The offload memo's records in an export, encoded for byte comparison.
+std::vector<std::uint8_t> offload_memo(std::vector<ha::RecordBody> records) {
+  std::erase_if(records, [](const ha::RecordBody& r) {
+    return !std::holds_alternative<ha::FlowOffloadedRecord>(r);
+  });
+  return ha::encode_snapshot_records(records);
+}
+
+TEST(Offload, MemoFlushAtCapacityReplicatesToStandbyAndSnapshot) {
+  // Capacity 2, three offloads: the third flushes the active's memo. The
+  // flush must reach the standby and the snapshot fold too, or both keep
+  // every offload ever made.
+  ctrl::Controller::Config config;
+  config.offload_table_capacity = 2;
+  ChainNet net(config);
+  net.network.enable_ha(1);
+  net.add_ids(4096);
+  net.add_udp_redirect_policy();
+  net.network.start();
+
+  std::vector<std::unique_ptr<net::UdpCbrApp>> streams;
+  for (std::uint16_t port = 40000; port < 40003; ++port) {
+    streams.push_back(std::make_unique<net::UdpCbrApp>(
+        net.alice, net::UdpCbrApp::Config{.dst = net.bob.ip(), .src_port = port,
+                                          .rate_bps = 2e6, .duration = 500 * kMillisecond}));
+    streams.back()->start();
+    net.network.run_for(1 * kSecond);
+  }
+  ha::HaCluster* cluster = net.network.ha_cluster();
+  ASSERT_NE(cluster, nullptr);
+  cluster->flush_replication();
+  net.network.run_for(100 * kMillisecond);
+
+  const ctrl::Controller& active = net.network.controller();
+  ASSERT_EQ(active.stats().flows_offloaded, 3u);
+  EXPECT_EQ(active.offloaded_flow_count(), 1u);
+  const ctrl::Controller& standby = cluster->node_controller(1);
+  EXPECT_EQ(standby.offloaded_flow_count(), active.offloaded_flow_count());
+  const std::vector<std::uint8_t> memo = offload_memo(active.export_state());
+  EXPECT_EQ(offload_memo(standby.export_state()), memo);
+  EXPECT_EQ(offload_memo(cluster->snapshot_store().export_records()), memo);
 }
 
 // --- WebUI surfacing ----------------------------------------------------------------

@@ -18,6 +18,10 @@
 #include "sim/simulator.h"
 #include "topology/island_partition.h"
 
+// GCC 12 reports a -Wrestrict false positive inside libstdc++ for
+// "literal" + std::string (GCC bug 105651), which this file concatenates.
+#pragma GCC diagnostic ignored "-Wrestrict"
+
 namespace livesec {
 namespace {
 

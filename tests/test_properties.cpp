@@ -16,6 +16,10 @@
 #include "openflow/flow_table.h"
 #include "services/message.h"
 
+// GCC 12 reports a -Wrestrict false positive inside libstdc++ for
+// "literal" + std::string (GCC bug 105651), which this file concatenates.
+#pragma GCC diagnostic ignored "-Wrestrict"
+
 namespace livesec {
 namespace {
 

@@ -413,7 +413,9 @@ void expect_agreement(const ctrl::RoutingTable& table, const ReferenceModel& mod
   // And nothing extra: an IP the model doesn't know must miss.
   for (std::uint32_t probe = 1; probe < 8; ++probe) {
     const std::uint32_t addr = 0x0B000000u + probe * 37;
-    if (!model.by_ip.contains(addr)) EXPECT_EQ(table.find_by_ip(ip(addr)), nullptr);
+    if (!model.by_ip.contains(addr)) {
+      EXPECT_EQ(table.find_by_ip(ip(addr)), nullptr);
+    }
   }
 }
 

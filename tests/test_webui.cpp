@@ -134,10 +134,14 @@ TEST(WebUi, StatsEndpointSurfacesFastPathCounters) {
   has_counter("decision_cache_misses", fp.decision_cache_misses);
   has_counter("decision_cache_invalidations", fp.decision_cache_invalidations);
   has_counter("suppressed_packet_ins", fp.suppressed_packet_ins);
+  has_counter("released_packet_ins", fp.released_packet_ins);
 
   const std::string text = ui.snapshot_text(0, net.network.sim().now());
   EXPECT_NE(text.find("control plane"), std::string::npos);
   EXPECT_NE(text.find("decision cache"), std::string::npos);
+  EXPECT_NE(text.find(", released " + std::to_string(fp.released_packet_ins) + ")"),
+            std::string::npos)
+      << text;
 }
 
 TEST(WebUi, SwitchLoadAppearsAfterStatsPolling) {
