@@ -308,8 +308,8 @@ void Controller::handle_lldp(DatapathId dpid, PortId in_port, const pkt::Packet&
     ++stats_.lldp_links;
     replicate(ha::LinkRecord{link.src, link.src_port, link.dst, link.dst_port});
     // Canonical low<->high rendering: which direction's LLDP probe lands
-    // first is a kernel scheduling artifact (serial vs parallel islands),
-    // and the event stream must be identical across kernels (DESIGN.md §10).
+    // first is a scheduling artifact, so the event names the link the same
+    // way whichever end discovers it.
     const DatapathId lo = std::min(link.src, link.dst);
     const DatapathId hi = std::max(link.src, link.dst);
     raise(mon::EventType::kLinkDiscovered,
@@ -1103,26 +1103,16 @@ void Controller::offload_flow(const pkt::FlowKey& key, FlowRecord& record, const
 
   // Rewrite in place: entries whose (dpid, match) survive — the ingress and
   // egress pair of the paper's 4-entry chain — are ModifyStrict'ed (keeps
-  // the cookie, removal notification and counters), genuinely new hops are
-  // added first, and only then the stale steering entries deleted, so no
-  // in-flight packet ever hits a gap.
+  // the cookie, removal notification and counters) and genuinely new hops
+  // are added. The stale steering legs are left to idle out: packets of the
+  // flow still inside the SE detour need them to find their way back, and
+  // they carry no cookie, so their expiry never touches the flow record.
   for (auto& [mod_dpid, mod] : new_mods) {
     const bool existed = std::find(record.installed.begin(), record.installed.end(),
                                    std::make_pair(mod_dpid, mod.entry.match)) !=
                          record.installed.end();
     mod.command = existed ? of::FlowModCommand::kModifyStrict : of::FlowModCommand::kAdd;
     send_flow_mod(mod_dpid, mod);
-  }
-  for (const auto& [old_dpid, match] : record.installed) {
-    if (std::find(new_installed.begin(), new_installed.end(), std::make_pair(old_dpid, match)) !=
-        new_installed.end()) {
-      continue;
-    }
-    of::FlowMod mod;
-    mod.command = of::FlowModCommand::kDeleteStrict;
-    mod.entry.match = match;
-    mod.entry.priority = config_.flow_priority;
-    send_flow_mod(old_dpid, mod);
   }
 
   // The SEs stop seeing this flow: release the chain's load-balancer

@@ -9,8 +9,7 @@
 //
 //  - sharded partitions: records live in `shards` independent partitions
 //    keyed by MAC hash (the IP secondary index is partitioned the same way
-//    by IP hash), so each partition's tables stay small and a future
-//    parallel control plane can lock/own partitions independently;
+//    by IP hash), so each partition's tables stay small;
 //  - arena-backed interned records: each shard stores records in fixed-size
 //    chunks addressed by a 32-bit slot handle. Chunks never move, so
 //    find() pointers stay valid until the record itself is removed; freed

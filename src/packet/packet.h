@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,11 +21,6 @@ class Payload {
   Payload() = default;
   explicit Payload(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
 
-  // The memoization slot makes Payload non-copyable; it is only ever shared
-  // through PayloadPtr, so nothing needs to copy it.
-  Payload(const Payload&) = delete;
-  Payload& operator=(const Payload&) = delete;
-
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
@@ -35,9 +29,7 @@ class Payload {
   auto end() const { return bytes_.end(); }
   std::span<const std::uint8_t> view() const { return bytes_; }
 
-  /// The payload's content fingerprint, memoized on first use (thread-safe:
-  /// parallel-kernel islands may race the first inspection of a shared
-  /// payload).
+  /// The payload's content fingerprint, memoized on first use.
   const FuzzyDigest& fuzzy_digest() const;
 
   /// Process-wide count of digest computations (bench_micro asserts the
@@ -46,7 +38,7 @@ class Payload {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  mutable std::once_flag digest_once_;
+  mutable bool digest_ready_ = false;
   mutable FuzzyDigest digest_;
 };
 

@@ -11,8 +11,7 @@ namespace {
 
 /// Free blocks, all of one size: allocate_shared performs a single allocation
 /// of its internal node type (control block + Packet), so every block this
-/// pool ever sees has identical size — which also makes blocks freely
-/// interchangeable between threads' pools.
+/// pool ever sees has identical size.
 struct PoolState {
   std::vector<void*> free_blocks;
   std::size_t block_size = 0;
@@ -22,30 +21,25 @@ struct PoolState {
   }
 };
 
-/// Bounds pool memory (~4k blocks of ~0.3KB per thread) under burst churn.
+/// Bounds pool memory (~4k blocks of ~0.3KB) under burst churn.
 constexpr std::size_t kMaxPooledBlocks = 4096;
 
-/// One pool per thread, so the parallel kernel's islands recycle packets
-/// without a shared free list (no lock, no false sharing, TSan-clean). A
-/// packet that crosses islands simply retires into the receiving thread's
-/// pool — blocks are interchangeable.
-///
-/// The raw guard pointer is nulled when the thread's pool is destroyed
-/// (thread exit / static teardown), so late deallocations — a packet held by
-/// a static, or freed on a thread that never allocated — fall back to plain
-/// operator delete instead of touching a dead pool.
-thread_local PoolState* tls_pool = nullptr;
+/// The process's pool. The raw guard pointer is nulled when the pool is
+/// destroyed at static teardown, so late deallocations — a packet held by a
+/// static — fall back to plain operator delete instead of touching a dead
+/// pool.
+PoolState* g_pool = nullptr;
 
-struct TlsHolder {
+struct PoolHolder {
   PoolState state;
-  TlsHolder() { tls_pool = &state; }
-  ~TlsHolder() { tls_pool = nullptr; }
+  PoolHolder() { g_pool = &state; }
+  ~PoolHolder() { g_pool = nullptr; }
 };
 
-/// Current thread's pool, constructed on first allocation.
+/// The pool, constructed on first allocation.
 PoolState* current_pool() {
-  static thread_local TlsHolder holder;
-  return tls_pool;
+  static PoolHolder holder;
+  return g_pool;
 }
 
 template <typename T>
@@ -69,9 +63,9 @@ struct RecyclingAllocator {
   }
 
   void deallocate(T* p, std::size_t n) {
-    // No construction here: during thread/static teardown the guard is
-    // already null and the block takes the plain-delete path.
-    PoolState* pool = tls_pool;
+    // No construction here: during static teardown the guard is already
+    // null and the block takes the plain-delete path.
+    PoolState* pool = g_pool;
     if (n == 1 && pool != nullptr &&
         (pool->block_size == 0 || pool->block_size == sizeof(T)) &&
         pool->free_blocks.size() < kMaxPooledBlocks) {

@@ -13,8 +13,8 @@
 #include "monitor/column_store.h"
 #include "monitor/event_batch.h"
 #include "monitor/event_pipeline.h"
-#include "monitor/event_store.h"
 #include "monitor/rollup.h"
+#include "event_store.h"
 #include "tiny_json.h"
 
 // GCC 12 reports a -Wrestrict false positive inside libstdc++ for

@@ -1,11 +1,10 @@
 // Tests for the extension features: DHCP directory proxy, policy config
-// language, IDS rule options, event-store persistence, statistics polling,
+// language, IDS rule options, statistics polling,
 // SE migration and host mobility.
 #include <gtest/gtest.h>
 
 #include "controller/dhcp_pool.h"
 #include "controller/policy_parser.h"
-#include "monitor/event_store.h"
 #include "net/network.h"
 #include "net/traffic.h"
 #include "packet/dhcp.h"
@@ -233,58 +232,6 @@ TEST(IdsRuleOptions, OffsetAppliesAcrossPacketsInStream) {
   // 8 bytes in packet 1, NEEDLE begins at stream offset 8+4=12 >= 10.
   EXPECT_EQ(engine.inspect(tcp_payload("12345678", 50001)).size(), 0u);
   EXPECT_EQ(engine.inspect(tcp_payload("xxxxNEEDLE", 50001)).size(), 1u);
-}
-
-// --- event store persistence ------------------------------------------------------
-
-TEST(EventStorePersistence, SerializeDeserializeRoundTrip) {
-  mon::EventStore store;
-  for (int i = 0; i < 50; ++i) {
-    mon::NetworkEvent e;
-    e.time = i * 10;
-    e.type = static_cast<mon::EventType>(1 + (i % 12));
-    e.subject = "subject-" + std::to_string(i);
-    e.detail = "detail \"quoted\" #" + std::to_string(i);
-    e.dpid = static_cast<DatapathId>(i % 5);
-    e.severity = static_cast<std::uint8_t>(i % 10);
-    store.append(std::move(e));
-  }
-  const auto blob = store.serialize();
-  const auto restored = mon::EventStore::deserialize(blob);
-  ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->size(), 50u);
-  for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(restored->at(i).id, store.at(i).id);
-    EXPECT_EQ(restored->at(i).time, store.at(i).time);
-    EXPECT_EQ(restored->at(i).type, store.at(i).type);
-    EXPECT_EQ(restored->at(i).subject, store.at(i).subject);
-    EXPECT_EQ(restored->at(i).detail, store.at(i).detail);
-  }
-  // Appending after restore continues the id sequence.
-  mon::EventStore writable = *restored;
-  mon::NetworkEvent fresh;
-  fresh.time = 1000;
-  EXPECT_GT(writable.append(std::move(fresh)), store.at(49).id);
-}
-
-TEST(EventStorePersistence, RejectsCorruptBlobs) {
-  mon::EventStore store;
-  mon::NetworkEvent e;
-  e.subject = "x";
-  store.append(std::move(e));
-  auto blob = store.serialize();
-
-  auto bad_magic = blob;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(mon::EventStore::deserialize(bad_magic).has_value());
-
-  auto truncated = blob;
-  truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(mon::EventStore::deserialize(truncated).has_value());
-
-  auto trailing = blob;
-  trailing.push_back(0);
-  EXPECT_FALSE(mon::EventStore::deserialize(trailing).has_value());
 }
 
 // --- statistics polling -------------------------------------------------------------

@@ -130,7 +130,7 @@ TEST(Offload, BenignVerdictRewritesChainToDirectPath) {
   EXPECT_EQ(ctrl.stats().flows_offloaded, 1u);
   EXPECT_TRUE(ctrl.flow_offloaded(key));
   EXPECT_EQ(ctrl.offloaded_flow_count(), 1u);
-  EXPECT_EQ(ctrl.flow_entries(key).size(), 4u);  // direct shape, SE legs deleted
+  EXPECT_EQ(ctrl.flow_entries(key).size(), 4u);  // direct shape, SE legs dropped
   EXPECT_TRUE(ctrl.flow_se_ids(key).empty());
   EXPECT_EQ(ctrl.events().query_type(mon::EventType::kFlowOffloaded, 0, kForever).size(), 1u);
 
@@ -141,6 +141,61 @@ TEST(Offload, BenignVerdictRewritesChainToDirectPath) {
   net.network.run_for(1 * kSecond);
   EXPECT_LE(ids.processed_packets() - se_after_offload, 3u);  // in-flight tail only
   EXPECT_GT(net.bob.rx_ip_packets(), rx_after_offload + 100);
+}
+
+/// Exact UDP entries of the alice<->bob flow on `sw` (either direction, any
+/// steering rewrite of the MACs).
+std::vector<of::FlowEntry> udp_entries(const sw::OpenFlowSwitch& sw) {
+  std::vector<of::FlowEntry> out;
+  for (const of::FlowEntry& e : sw.flow_table().entries()) {
+    if (!e.match.is_exact()) continue;
+    const pkt::FlowKey k = e.match.flow_key();
+    if (k.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kUdp)) out.push_back(e);
+  }
+  return out;
+}
+
+// Regression: the cut-through used to DeleteStrict the SE-switch steering
+// legs while packets of the flow were still inside the SE detour, so the
+// packets coming back from the SE found no entry and were lost (1 of 694 at
+// 40 Mbps). The stale legs now idle out instead.
+TEST(Offload, CutThroughLosesNoPacketStillInsideTheSeDetour) {
+  ctrl::Controller::Config config;
+  config.flow_idle_timeout = 1 * kSecond;  // lets the stale legs expire quickly
+  ChainNet net(config);
+  net.add_ids(4096);
+  net.add_udp_redirect_policy();
+  net.network.start();
+
+  net::UdpCbrApp burst(net.alice, {.dst = net.bob.ip(), .rate_bps = 40e6,
+                                   .duration = 200 * kMillisecond});
+  burst.start();
+  net.network.run_for(300 * kMillisecond);
+
+  const pkt::FlowKey key = net.udp_key();
+  const auto& ctrl = net.network.controller();
+  ASSERT_EQ(ctrl.stats().flows_offloaded, 1u);
+  ASSERT_TRUE(ctrl.flow_offloaded(key));
+  EXPECT_EQ(net.bob.rx_ip_packets(), burst.packets_sent());
+
+  // The SE switch still holds the stale legs. They carry no cookie (cookies
+  // start at 1), so they are not in the controller's cookie index: their
+  // idle expiry cannot be mistaken for the end of the live flow.
+  const std::vector<of::FlowEntry> legs = udp_entries(net.ovs3);
+  ASSERT_FALSE(legs.empty());
+  for (const of::FlowEntry& leg : legs) EXPECT_EQ(leg.cookie, 0u);
+
+  // Keep the offloaded flow alive past the idle timeout: the legs expire,
+  // the direct path and the offloaded record stay.
+  net::UdpCbrApp tail(net.alice, {.dst = net.bob.ip(), .rate_bps = 2e6,
+                                  .duration = 3 * kSecond});
+  tail.start();
+  net.network.run_for(3 * kSecond);
+  EXPECT_TRUE(udp_entries(net.ovs3).empty());
+  EXPECT_TRUE(ctrl.flow_offloaded(key));
+  EXPECT_EQ(ctrl.flow_entries(key).size(), 4u);
+  EXPECT_TRUE(ctrl.events().query_type(mon::EventType::kFlowEnd, 0, kForever).empty());
+  EXPECT_EQ(net.bob.rx_ip_packets(), burst.packets_sent() + tail.packets_sent());
 }
 
 TEST(Offload, MaliciousVerdictBlocksInsteadOfOffloading) {

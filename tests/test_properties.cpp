@@ -1,7 +1,6 @@
 // Model-based and randomized property tests over core invariants:
 //  - FlowTable behaves like a reference model under random operation mixes
 //  - Match::covers soundness (non-strict delete never misses covered entries)
-//  - EventStore range queries agree with a naive filter
 //  - LoadBalancer keeps every SE utilized under skewed user populations
 //  - DaemonMessage/Trace codecs survive random payload fuzz without crashing
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 
 #include "common/random.h"
 #include "controller/load_balancer.h"
-#include "monitor/event_store.h"
 #include "monitor/trace.h"
 #include "openflow/flow_table.h"
 #include "services/message.h"
@@ -316,41 +314,6 @@ TEST(MatchCovers, NonStrictDeleteRemovesExactlyCoveredEntries) {
     EXPECT_EQ(table.size(), before - removed);
     for (const auto& e : table.entries()) {
       EXPECT_NE(e.match.tp_dst_value(), probe.tp_dst);
-    }
-  }
-}
-
-TEST(EventStoreModel, RangeQueriesAgreeWithNaiveFilter) {
-  Rng rng(3);
-  mon::EventStore store;
-  std::vector<mon::NetworkEvent> naive;
-  SimTime t = 0;
-  for (int i = 0; i < 500; ++i) {
-    t += static_cast<SimTime>(rng.uniform(0, 5));
-    mon::NetworkEvent e;
-    e.time = t;
-    e.type = static_cast<mon::EventType>(1 + rng.uniform(0, 11));
-    e.subject = "s" + std::to_string(rng.uniform(0, 5));
-    store.append(e);
-    e.id = store.at(store.size() - 1).id;
-    naive.push_back(e);
-  }
-  for (int q = 0; q < 100; ++q) {
-    const SimTime from = static_cast<SimTime>(rng.uniform(0, static_cast<std::uint64_t>(t)));
-    const SimTime to = from + static_cast<SimTime>(rng.uniform(0, 500));
-    const auto got = store.query_range(from, to);
-    std::size_t want = 0;
-    for (const auto& e : naive) {
-      if (e.time >= from && e.time < to) ++want;
-    }
-    ASSERT_EQ(got.size(), want) << "query " << q;
-    // Ordering & bounds.
-    for (std::size_t i = 1; i < got.size(); ++i) {
-      ASSERT_LE(got[i - 1].time, got[i].time);
-    }
-    for (const auto& e : got) {
-      ASSERT_GE(e.time, from);
-      ASSERT_LT(e.time, to);
     }
   }
 }

@@ -13,7 +13,6 @@
 
 #include "controller/controller.h"
 #include "controller/routing_table.h"
-#include "monitor/event_store.h"
 #include "openflow/channel.h"
 #include "packet/packet.h"
 #include "scenario/campus.h"
